@@ -7,13 +7,14 @@ Usage, from the root of a checkout:
     python3 perfbench/run.py --self-test
 
 Builds the benchmark (CMake, Release) under .bench_build/, makes the
-serving workloads' inputs there once, runs one workload and relays its
-output; the last stdout line is the JSON result. --self-test builds and
+serving workloads' inputs there (again whenever the sources that make them
+change), runs one workload and relays its output; the last stdout line is the JSON result. --self-test builds and
 runs the benchmark's own tests of its correctness checks. See
 perfbench/README.md for the workloads and metrics.
 """
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,10 @@ BUILD = os.path.join(".bench_build", "perfbench")
 DATA = os.path.join(".bench_build", "perfbench-inputs")
 WORK = os.path.join(".bench_build", "perfbench-run")
 WORKLOADS = ("pipeline", "serve_saturated", "serve_single", "serve_repeat")
+# Everything that goes into the served model and the query digests: the
+# library, the root build's flags and this package's code.
+INPUT_SOURCES = ("CMakeLists.txt", "cmake", "src",
+                 os.path.join("perfbench", "CMakeLists.txt"), os.path.join("perfbench", "src"))
 
 
 def fail(message):
@@ -39,6 +44,23 @@ def build(targets):
                        check=True, stdout=sys.stderr)
     subprocess.run(["cmake", "--build", BUILD, "-j", jobs, "--target"] + targets,
                    check=True, stdout=sys.stderr)
+
+
+def inputs_key():
+    """SHA-256 over the paths and contents of INPUT_SOURCES' files."""
+    files = []
+    for source in INPUT_SOURCES:
+        if os.path.isfile(source):
+            files.append(source)
+        for parent, dirs, names in os.walk(source):
+            dirs.sort()
+            files.extend(os.path.join(parent, name) for name in sorted(names))
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.encode() + b"\0")
+        with open(path, "rb") as f:
+            digest.update(hashlib.sha256(f.read()).digest())
+    return digest.hexdigest()
 
 
 def main():
@@ -65,7 +87,8 @@ def main():
         build(["fhc_perfbench", "fhc_serve"])
         bench = os.path.join(BUILD, "fhc_perfbench")
         serve = os.path.join(BUILD, "fhc", "tools", "fhc_serve")
-        subprocess.run([bench, "prepare", "--data", DATA], check=True)
+        subprocess.run([bench, "prepare", "--data", DATA, "--key", inputs_key()],
+                       check=True)
         sys.stdout.flush()
         return subprocess.run([
             bench, "run", "--workload", args.workload, "--seed", str(args.seed),

@@ -20,7 +20,7 @@ using fhc::core::FeatureHashes;
 
 namespace {
 
-constexpr const char* kInputsVersion = "perfbench-inputs 1";
+constexpr const char* kInputsVersion = "perfbench-inputs 2 ";
 
 std::string join(const std::vector<std::string>& texts) {
   std::string out;
@@ -94,11 +94,12 @@ DigestRows read_digest_rows(const fs::path& path) {
   return rows;
 }
 
-void prepare_inputs(const InputPaths& paths, std::ostream& log) {
+void prepare_inputs(const InputPaths& paths, const std::string& key, std::ostream& log) {
+  const std::string stamp = kInputsVersion + key;
   {
     std::ifstream ready(paths.ready());
-    std::string version;
-    if (ready && std::getline(ready, version) && version == kInputsVersion) return;
+    std::string found;
+    if (ready && std::getline(ready, found) && found == stamp) return;
   }
   fs::create_directories(paths.dir);
   fs::remove(paths.ready());
@@ -141,7 +142,7 @@ void prepare_inputs(const InputPaths& paths, std::ostream& log) {
       << watch.seconds() << " s\n";
 
   std::ofstream ready(paths.ready());
-  ready << kInputsVersion << '\n';
+  ready << stamp << '\n';
   if (!ready) throw std::runtime_error("cannot write " + paths.ready().string());
 }
 

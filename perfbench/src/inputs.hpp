@@ -8,7 +8,10 @@
 //                stripped of anything the model was trained on.
 //
 // Every run draws its own requests from these by its --seed. None of this
-// is timed; a run's set-up starts after it.
+// is timed; a run's set-up starts after it. The set is remade whenever the
+// key it was made under differs: the key is a digest of the sources that
+// make it (perfbench/run.py), so a change to the library or to this
+// package never serves a model or queries another tree made.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +27,10 @@ namespace perfbench {
 
 inline constexpr std::uint64_t kModelSeed = 42;
 inline constexpr std::uint64_t kQuerySeedBase = 7001;
-inline constexpr int kQueryCorpora = 4;
+// 16 corpora give 85,328 queries: a saturated run (1 s warm-up, up to 60 s
+// timed) draws them without repeats at up to ~1,400 req/s, and a 15-s run
+// at up to ~5,300 req/s, five times the fastest rate measured so far.
+inline constexpr int kQueryCorpora = 16;
 
 struct InputPaths {
   std::filesystem::path dir;
@@ -39,8 +45,8 @@ struct InputPaths {
 /// unknown classes pinned) for corpus seed `seed`.
 fhc::core::ExperimentConfig paper_config(std::uint64_t seed);
 
-/// Builds the inputs unless a complete set is already there.
-void prepare_inputs(const InputPaths& paths, std::ostream& log);
+/// Builds the inputs unless a complete set made under `key` is already there.
+void prepare_inputs(const InputPaths& paths, const std::string& key, std::ostream& log);
 
 /// Digest texts per channel, as a CLASSIFY_DIGESTS frame carries them.
 std::vector<std::string> digest_texts(const fhc::core::FeatureHashes& sample);

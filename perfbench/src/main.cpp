@@ -1,9 +1,10 @@
 // fhc_perfbench — the end-to-end benchmark's driver (run it through
 // perfbench/run.py, which builds it first).
 //
-//   fhc_perfbench prepare --data DIR
+//   fhc_perfbench prepare --data DIR --key KEY
 //       makes the serving workloads' inputs (model, training digests,
-//       never-seen queries) unless DIR already holds them.
+//       never-seen queries) unless DIR already holds them made under KEY,
+//       a digest of the sources that make them.
 //   fhc_perfbench run --workload NAME --seed N --seconds S --trace 0|1
 //                     --data DIR --work DIR --serve FHC_SERVE
 //       runs one workload and prints, as its last stdout line, one JSON
@@ -50,7 +51,7 @@ const Clock::time_point g_process_start = Clock::now();
 
 int usage() {
   std::fprintf(stderr,
-               "usage: fhc_perfbench prepare --data DIR\n"
+               "usage: fhc_perfbench prepare --data DIR --key KEY\n"
                "       fhc_perfbench run --workload pipeline|serve_saturated|serve_single|"
                "serve_repeat --seed N --seconds S --trace 0|1 --data DIR --work DIR "
                "--serve FHC_SERVE\n");
@@ -92,7 +93,7 @@ int main(int argc, char** argv) {
 
   try {
     if (mode == "prepare") {
-      prepare_inputs(InputPaths{flag("data")}, std::cerr);
+      prepare_inputs(InputPaths{flag("data")}, flag("key"), std::cerr);
       return 0;
     }
     if (mode != "run") return usage();

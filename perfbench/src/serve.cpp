@@ -40,6 +40,9 @@ constexpr std::size_t kPopular = 256;  // popular binaries of serve_repeat
 constexpr double kZipfExponent = 1.0;
 constexpr std::size_t kVerifySample = 256;  // replies re-predicted in-process
 constexpr std::size_t kProbeQueries = 64;
+// Every connection gives up on a reply after this long, so a daemon that
+// stops answering shows as transport failures instead of a hung run.
+constexpr int kReplyTimeoutMs = 30000;
 
 double since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -114,6 +117,7 @@ ServeSession::ServeSession(const RunOptions& options, const fs::path& model) {
   // Polled every 100 us (BlockingClient's retries sleep whole
   // milliseconds, which would add up to 1 ms of noise to set-up time).
   const Clock::time_point give_up = Clock::now() + std::chrono::seconds(20);
+  control_.set_recv_timeout(kReplyTimeoutMs);
   for (std::string error;;) {
     error = control_.connect(endpoint_);
     if (error.empty()) break;
@@ -164,6 +168,7 @@ DriveResult ServeSession::drive(const std::vector<std::string>& frames,
   auto run = [&](std::size_t c) {
     DriveResult& out = parts[c];
     net::BlockingClient client;
+    client.set_recv_timeout(kReplyTimeoutMs);
     const std::string error = client.connect(endpoint_, 100, 1);
     if (!error.empty()) {
       out.problems.push_back("connect: " + error);
@@ -393,8 +398,11 @@ RunResult run_serve(const RunOptions& options, Tracer& tracer) {
   const StatsMap after = session->stats();
   const int exit_status = session->quit();
   result.add_problems(timed.problems);
+  // An empty pool ends the timed phase early: its figures would come from
+  // a shorter run, and a never-seen request could only be had by repeats.
   if (!repeat && cursor->load() >= order.size()) {
-    result.add_info("query_pool_exhausted", 1.0);
+    result.problems.push_back("the pool of " + std::to_string(order.size()) +
+                              " never-seen queries ran out before the timed phase ended");
   }
 
   result.attempted = timed.sent;
